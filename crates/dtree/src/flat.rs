@@ -10,11 +10,11 @@
 //!   breadth-first from the root, so the hot upper levels of the tree —
 //!   shared by every lookup — pack into a handful of consecutive cache
 //!   lines instead of being scattered in arena creation order.
-//! * **Structure-of-arrays rule store.** Rule bounds live in
-//!   per-dimension `lo`/`hi` arrays in precedence (rank) order, plus a
-//!   cache-packed per-leaf scan copy. A leaf scan touches only the
-//!   bounds it actually compares, in prefetch order, instead of
-//!   dragging whole cloned `Rule` structs through the cache.
+//! * **Cache-packed leaf entries.** Rules are ranked in precedence
+//!   order, and each leaf stores its rules' bounds inline: one 64-byte
+//!   entry per rule, in scan order. A leaf scan touches only the bounds
+//!   it actually compares, in prefetch order, instead of dragging
+//!   whole cloned `Rule` structs through the cache.
 //! * **Division-free cut indexing.** Equal-size cuts precompute a
 //!   Granlund–Montgomery/Lemire style reciprocal at compile time, so
 //!   the per-level child-index computation is a multiply-and-shift
@@ -27,13 +27,18 @@
 //!
 //! `FlatTree::classify` returns the **same rule ids** as the source
 //! tree, so results remain comparable with the [`classbench::RuleSet`]
-//! ground truth. Packets are assumed valid ([`Packet::is_valid`]):
-//! each field lies inside its dimension's span, which the reciprocal
-//! cut indexing relies on (all dividends and divisors fit in 32 bits).
+//! ground truth. The tree is frozen after [`FlatTree::compile`]: the
+//! live-update layer ([`crate::serve`]) retires deleted rules through a
+//! caller-owned bitset of table ranks that the lookup kernels skip
+//! (`retired`, one bit per rank; `&[]` retires nothing).
+//!
+//! Packets are assumed valid ([`Packet::is_valid`]): each field lies
+//! inside its dimension's span, which the reciprocal cut indexing
+//! relies on (all dividends and divisors fit in 32 bits).
 
 use crate::node::{NodeKind, RuleId};
 use crate::tree::DecisionTree;
-use classbench::{Packet, NUM_DIMS};
+use classbench::Packet;
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
@@ -71,6 +76,23 @@ fn div_by_step(x: u64, magic: u64) -> u64 {
         x
     } else {
         ((x as u128 * magic as u128) >> 64) as u64
+    }
+}
+
+/// True when `rank`'s bit is set in the `retired` bitset (bit
+/// `rank % 64` of word `rank / 64`); ranks past the end are live.
+#[inline(always)]
+fn is_retired(retired: &[u64], rank: u32) -> bool {
+    retired.get(rank as usize / 64).is_some_and(|w| w >> (rank % 64) & 1 != 0)
+}
+
+/// Set `rank`'s bit in a `retired` bitset (see [`is_retired`]), growing
+/// it to cover the rank.
+pub(crate) fn retire(retired: &mut Vec<u64>, rank: u32) {
+    let word = rank as usize / 64;
+    retired.resize(retired.len().max(word + 1), 0);
+    if let Some(w) = retired.get_mut(word) {
+        *w |= 1 << (rank % 64);
     }
 }
 
@@ -122,20 +144,13 @@ pub struct FlatTree {
     leaf_rules: Vec<u32>,
     bounds: Vec<u64>,
     cut_dims: Vec<FlatCutDim>,
-    /// SoA rule store, dimension-major: the lower bound of rule `rank`
-    /// in dimension `d` is `rule_lo[d * num_rules + rank]`. Ranks are
-    /// precedence order (rank 0 wins every tie), so `leaf_rules` and
-    /// the scan below never consult priorities.
-    rule_lo: Vec<u64>,
-    /// Exclusive upper bounds, same layout as `rule_lo`.
-    rule_hi: Vec<u64>,
-    /// Cache-packed scan copy of the rule bounds: entry `j` of
-    /// `leaf_rules` owns `leaf_bounds[16j..16j+16]` — eight lower
-    /// bounds then eight **inclusive** upper bounds (five real
-    /// dimensions plus always-true padding lanes; see [`LEAF_ENTRY`]).
-    /// A leaf scan walks these sequentially — one 64-byte line per
-    /// rule in prefetch order — instead of gathering from five
-    /// rank-indexed arrays. `u32` is lossless here: every dimension's
+    /// Cache-packed rule bounds: entry `j` of `leaf_rules` (a table
+    /// rank; ranks are precedence order, rank 0 wins every tie) owns
+    /// `leaf_bounds[16j..16j+16]` — eight lower bounds then eight
+    /// **inclusive** upper bounds (five real dimensions plus
+    /// always-true padding lanes; see [`LEAF_ENTRY`]). A leaf scan
+    /// walks these sequentially — one 64-byte line per rule in
+    /// prefetch order. `u32` is lossless here: every dimension's
     /// values fit in 32 bits, and a degenerate empty range is encoded
     /// as the unsatisfiable lane `[1, 0]` rather than wrapping.
     leaf_bounds: Vec<u32>,
@@ -146,12 +161,10 @@ pub struct FlatTree {
     /// ([`crate::serve`]), which must merge compiled matches against
     /// not-yet-compiled overlay inserts by (priority, id) precedence.
     rule_prio: Vec<i32>,
-    /// Ranks retired in place by [`Self::patch_delete`] since compile.
-    retired: u32,
-    /// [`DecisionTree::generation`] of the source tree at compile time
-    /// (advanced again by each applied patch). A snapshot whose
-    /// generation disagrees with its tree is **stale**: the tree has
-    /// mutated since, and lookups may return wrong matches.
+    /// [`DecisionTree::generation`] of the source tree at compile
+    /// time. A snapshot whose generation disagrees with its tree is
+    /// **stale**: the tree has mutated since, and lookups may return
+    /// wrong matches.
     generation: u64,
     root: u32,
 }
@@ -160,7 +173,7 @@ pub struct FlatTree {
 /// seen updates the snapshot was never told about.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StaleTreeError {
-    /// Generation the snapshot was compiled from / patched up to.
+    /// Generation the snapshot was compiled from.
     pub compiled: u64,
     /// The tree's current generation.
     pub current: u64,
@@ -188,20 +201,12 @@ impl FlatTree {
             (0..tree.rules().len()).filter(|&r| tree.is_active(r)).collect();
         order.sort_by(|&a, &b| tree.rule(b).priority.cmp(&tree.rule(a).priority).then(a.cmp(&b)));
         let mut table_index = vec![u32::MAX; tree.rules().len()];
-        let n = order.len();
-        let mut rule_lo = vec![0u64; NUM_DIMS * n];
-        let mut rule_hi = vec![0u64; NUM_DIMS * n];
-        let mut orig_ids = Vec::with_capacity(n);
-        let mut rule_prio = Vec::with_capacity(n);
+        let mut orig_ids = Vec::with_capacity(order.len());
+        let mut rule_prio = Vec::with_capacity(order.len());
         for (rank, &r) in order.iter().enumerate() {
             table_index[r] = rank as u32;
             orig_ids.push(r as u32);
             rule_prio.push(tree.rule(r).priority);
-            let rule = tree.rule(r);
-            for d in 0..NUM_DIMS {
-                rule_lo[d * n + rank] = rule.ranges[d].lo;
-                rule_hi[d * n + rank] = rule.ranges[d].hi;
-            }
         }
 
         // Breadth-first renumbering: hot upper levels become the first
@@ -235,12 +240,9 @@ impl FlatTree {
             leaf_rules: Vec::new(),
             bounds: Vec::new(),
             cut_dims: Vec::new(),
-            rule_lo,
-            rule_hi,
             leaf_bounds: Vec::new(),
             orig_ids,
             rule_prio,
-            retired: 0,
             generation: tree.generation(),
             root: 0,
         };
@@ -350,20 +352,25 @@ impl FlatTree {
         self.nodes.len()
     }
 
-    /// Number of active rules in the compiled table (compiled entries
-    /// minus ranks retired in place by [`Self::patch_delete`]).
+    /// Number of rules in the compiled table (one rank each).
     pub fn num_rules(&self) -> usize {
-        self.orig_ids.len() - self.retired as usize
+        self.orig_ids.len()
     }
 
-    /// The tree generation this snapshot was compiled from (or patched
-    /// up to). See [`DecisionTree::generation`].
+    /// The table rank of original rule `id`, or `None` when the id was
+    /// not compiled (deleted before, or inserted after, compile).
+    pub(crate) fn rank_of(&self, id: RuleId) -> Option<u32> {
+        self.orig_ids.iter().position(|&o| o as usize == id).map(|rank| rank as u32)
+    }
+
+    /// The tree generation this snapshot was compiled from. See
+    /// [`DecisionTree::generation`].
     pub fn generation(&self) -> u64 {
         self.generation
     }
 
-    /// True when `tree` has mutated since this snapshot was compiled /
-    /// patched: lookups against it may silently return wrong matches.
+    /// True when `tree` has mutated since this snapshot was compiled:
+    /// lookups against it may silently return wrong matches.
     pub fn is_stale(&self, tree: &DecisionTree) -> bool {
         self.generation != tree.generation()
     }
@@ -404,60 +411,14 @@ impl FlatTree {
         Ok(())
     }
 
-    /// Retire one rule **in place**: stamp every leaf-scan entry of the
-    /// rule's rank with the unsatisfiable bounds lane `[1, 0]`, so the
-    /// scan skips it and the runner-up in each touched leaf wins —
-    /// exactly what a recompile without the rule would produce. This is
-    /// the cheap below-threshold delete path of the live-update layer:
-    /// no node renumbering, no pool rebuilds, no rank shifts. (The
-    /// scans here — rank lookup over `orig_ids`, entry sweep over
-    /// `leaf_rules` — are linear but cache-sequential over `u32`
-    /// arrays; in the live handle the cost of a patched delete is
-    /// dominated by the copy-on-write clone of the snapshot, not by
-    /// the patch.)
-    ///
-    /// `generation` is the tree generation the patched snapshot will
-    /// claim to serve ([`Self::is_stale`] compares against it), so it
-    /// is the **caller's freshness assertion**: pass the tree's current
-    /// generation only when this patch makes the snapshot reflect the
-    /// tree exactly (no other unapplied mutations, e.g. pending overlay
-    /// inserts); pass `self.generation()` to leave the stamp — and the
-    /// staleness verdict — unchanged. A patch that finds nothing to
-    /// retire never touches the stamp.
-    ///
-    /// Returns the number of leaf entries stamped (0 when the id is not
-    /// in the compiled table — e.g. it was inserted after compile). The
-    /// caller must not retire the same id twice (the tree-side delete
-    /// already errors on double deletes).
-    // nc-lint: allow(no-panic-in-serving, reason = "leaf table spans were minted by compile; the found rank bounds every slice by construction")
-    pub fn patch_delete(&mut self, id: RuleId, generation: u64) -> usize {
-        let Some(rank) = self.orig_ids.iter().position(|&o| o as usize == id) else {
-            return 0;
-        };
-        self.generation = generation;
-        let rank = rank as u32;
-        let mut stamped = 0usize;
-        for j in 0..self.leaf_rules.len() {
-            if self.leaf_rules[j] == rank {
-                self.leaf_bounds[j * LEAF_ENTRY] = 1;
-                self.leaf_bounds[j * LEAF_ENTRY + LEAF_LANES] = 0;
-                stamped += 1;
-            }
-        }
-        self.retired += 1;
-        stamped
-    }
-
     /// Resident heap + inline size of the compiled structure, in bytes.
     ///
     /// Counted exactly: the `FlatTree` struct itself plus the *capacity*
     /// (not just the length) of every backing array — nodes, child and
-    /// leaf-rule pools, dense-cut boundaries, multicut axes, the SoA
-    /// rule store (`lo`/`hi` per dimension plus the rank-to-id map),
-    /// the rank-priority table, and the cache-packed leaf scan copy of
-    /// the bounds. Nothing in
-    /// the structure owns further heap (rule bounds are inlined into
-    /// the arrays), so this is the full footprint.
+    /// leaf-rule pools, dense-cut boundaries, multicut axes, the
+    /// rank-to-id and rank-priority tables, and the cache-packed leaf
+    /// bounds. Nothing in the structure owns further heap (rule bounds
+    /// are inlined into the arrays), so this is the full footprint.
     pub fn resident_bytes(&self) -> usize {
         fn heap<T>(v: &Vec<T>) -> usize {
             v.capacity() * std::mem::size_of::<T>()
@@ -468,26 +429,27 @@ impl FlatTree {
             + heap(&self.leaf_rules)
             + heap(&self.bounds)
             + heap(&self.cut_dims)
-            + heap(&self.rule_lo)
-            + heap(&self.rule_hi)
             + heap(&self.leaf_bounds)
             + heap(&self.orig_ids)
             + heap(&self.rule_prio)
     }
 
     /// Scan `leaf_rules[start..end]` (ascending rank = precedence
-    /// order) for the first rule containing the packet.
+    /// order) for the first rule containing the packet whose rank is
+    /// not set in `retired` — the runner-up a recompile without the
+    /// retired rules would return.
     ///
     /// Bounds come from the cache-packed `leaf_bounds` copy, and the
     /// dimension test is evaluated branch-free (`&`, not `&&`) over
     /// the padded 8-lane halves: whether one dimension matches is
     /// data-dependent and would mispredict, while the one per-rule
-    /// "matched?" branch is almost always false until the winner. The
-    /// fixed-width lane loops vectorise, and `chunks_exact` keeps the
-    /// compares free of per-element bounds checks.
+    /// "matched?" branch is almost always false until the winner, and
+    /// the retired bit is read only behind it. The fixed-width lane
+    /// loops vectorise, and `chunks_exact` keeps the compares free of
+    /// per-element bounds checks.
     // nc-lint: kernel
     #[inline]
-    fn leaf_scan(&self, start: u32, end: u32, packet: &Packet) -> Option<u32> {
+    fn leaf_scan(&self, start: u32, end: u32, packet: &Packet, retired: &[u64]) -> Option<u32> {
         let mut pv = [0u32; LEAF_LANES];
         for (lane, &v) in pv.iter_mut().zip(&packet.values) {
             *lane = v as u32;
@@ -505,7 +467,7 @@ impl FlatTree {
             for lane in 0..LEAF_LANES {
                 matched &= pv[lane] <= his[lane];
             }
-            if matched {
+            if matched && !is_retired(retired, rank) {
                 return Some(rank);
             }
         }
@@ -515,9 +477,11 @@ impl FlatTree {
     /// Advance a lookup at `id` by one node.
     // nc-lint: kernel
     #[inline]
-    fn step(&self, id: u32, packet: &Packet) -> Step {
+    fn step(&self, id: u32, packet: &Packet, retired: &[u64]) -> Step {
         match self.nodes[id as usize] {
-            FlatNode::Leaf { start, end } => Step::Done(self.leaf_scan(start, end, packet)),
+            FlatNode::Leaf { start, end } => {
+                Step::Done(self.leaf_scan(start, end, packet, retired))
+            }
             FlatNode::Cut { dim, lo, magic, ncuts, base } => {
                 let v = packet.values[dim as usize];
                 let idx = div_by_step(v.saturating_sub(lo), magic).min(u64::from(ncuts) - 1) as u32;
@@ -547,7 +511,7 @@ impl FlatTree {
             FlatNode::Partition { start, end } => {
                 let mut best: Option<u32> = None;
                 for &c in &self.children[start as usize..end as usize] {
-                    if let Some(ti) = self.classify_from(c, packet) {
+                    if let Some(ti) = self.classify_from(c, packet, retired) {
                         // Table order *is* precedence order.
                         if best.is_none_or(|b| ti < b) {
                             best = Some(ti);
@@ -562,14 +526,15 @@ impl FlatTree {
     /// Classify a packet: the **original** rule id of the highest-
     /// precedence match, identical to the source tree's `classify`.
     pub fn classify(&self, packet: &Packet) -> Option<RuleId> {
-        self.classify_rank(packet).map(|rank| self.rank_to_id(rank))
+        self.classify_rank(packet, &[]).map(|rank| self.rank_to_id(rank))
     }
 
     /// Classify a packet to its winning **table rank** (ranks are dense
-    /// precedence order: rank 0 wins every comparison). The live-update
-    /// layer merges ranks against overlay inserts by priority.
-    pub fn classify_rank(&self, packet: &Packet) -> Option<u32> {
-        self.classify_from(self.root, packet)
+    /// precedence order: rank 0 wins every comparison), skipping ranks
+    /// set in `retired`. The live-update layer merges ranks against
+    /// overlay inserts by priority.
+    pub fn classify_rank(&self, packet: &Packet, retired: &[u64]) -> Option<u32> {
+        self.classify_from(self.root, packet, retired)
     }
 
     /// The original arena rule id behind a table rank.
@@ -593,7 +558,7 @@ impl FlatTree {
     /// data-dependent and mispredicts every level, while "is it a
     /// Cut?" is predicted almost perfectly on cut-built trees.
     // nc-lint: kernel
-    fn classify_from(&self, mut id: u32, packet: &Packet) -> Option<u32> {
+    fn classify_from(&self, mut id: u32, packet: &Packet, retired: &[u64]) -> Option<u32> {
         loop {
             let node = &self.nodes[id as usize];
             if let FlatNode::Cut { dim, lo, magic, ncuts, base } = *node {
@@ -603,13 +568,13 @@ impl FlatTree {
                 continue;
             }
             if let FlatNode::Leaf { start, end } = *node {
-                return self.leaf_scan(start, end, packet);
+                return self.leaf_scan(start, end, packet, retired);
             }
             if let FlatNode::Split { dim, threshold, left, right } = *node {
                 id = if packet.values[dim as usize] < threshold { left } else { right };
                 continue;
             }
-            match self.step(id, packet) {
+            match self.step(id, packet, retired) {
                 Step::Descend(next) => id = next,
                 Step::Done(result) => return result,
             }
@@ -632,20 +597,22 @@ impl FlatTree {
     pub fn classify_batch(&self, packets: &[Packet], out: &mut [Option<RuleId>]) {
         // nc-lint: allow(no-panic-in-serving, error-taxonomy, reason = "documented length-contract guard (see # Panics); misuse is a caller bug, not runtime input")
         assert_eq!(packets.len(), out.len(), "output slice must match the batch");
-        self.classify_batch_with(packets, |pi, rank| {
+        self.classify_batch_with(packets, &[], |pi, rank| {
             out[pi] = rank.map(|rank| self.orig_ids[rank as usize] as RuleId);
         });
     }
 
-    /// The batched wavefront lookup, reporting winning **table ranks**:
-    /// `emit(packet_index, rank)` is called exactly once per packet, in
-    /// no particular order. [`Self::classify_batch`] is this plus the
+    /// The batched wavefront lookup, reporting winning **table ranks**
+    /// and skipping ranks set in `retired`: `emit(packet_index, rank)`
+    /// is called exactly once per packet, in no particular order.
+    /// [`Self::classify_batch`] is this with nothing retired plus the
     /// rank-to-id mapping; the live-update layer consumes the ranks
     /// directly to merge against its overlay by precedence.
     // nc-lint: kernel
     pub fn classify_batch_with<F: FnMut(usize, Option<u32>)>(
         &self,
         packets: &[Packet],
+        retired: &[u64],
         mut emit: F,
     ) {
         if let FlatNode::Partition { start, end } = self.nodes[self.root as usize] {
@@ -657,7 +624,7 @@ impl FlatTree {
             // nc-lint: allow(no-alloc-in-kernels, reason = "one amortised rank buffer per batch at a root partition, not per packet")
             let mut best = vec![NO_RANK; packets.len()];
             for &c in &self.children[start as usize..end as usize] {
-                self.classify_batch_ranks(c, packets, |pi, rank| {
+                self.classify_batch_ranks(c, packets, retired, |pi, rank| {
                     if let Some(rank) = rank {
                         best[pi] = best[pi].min(rank);
                     }
@@ -667,7 +634,7 @@ impl FlatTree {
                 emit(pi, (rank != NO_RANK).then_some(rank));
             }
         } else {
-            self.classify_batch_ranks(self.root, packets, emit);
+            self.classify_batch_ranks(self.root, packets, retired, emit);
         }
     }
 
@@ -688,6 +655,7 @@ impl FlatTree {
         &self,
         from: u32,
         packets: &[Packet],
+        retired: &[u64],
         mut emit: F,
     ) {
         // nc-lint: allow(no-alloc-in-kernels, reason = "one frontier allocation per batch, amortised over every packet in it")
@@ -710,9 +678,9 @@ impl FlatTree {
                         next_round.push((pi, self.children[(base + idx) as usize]));
                     }
                     FlatNode::Leaf { start, end } => {
-                        emit(pi as usize, self.leaf_scan(start, end, packet));
+                        emit(pi as usize, self.leaf_scan(start, end, packet, retired));
                     }
-                    _ => match self.step(nid, packet) {
+                    _ => match self.step(nid, packet, retired) {
                         Step::Descend(id) => next_round.push((pi, id)),
                         Step::Done(result) => emit(pi as usize, result),
                     },
@@ -834,16 +802,14 @@ mod tests {
             + flat.leaf_rules.capacity() * 4
             + flat.bounds.capacity() * 8
             + flat.cut_dims.capacity() * std::mem::size_of::<FlatCutDim>()
-            + flat.rule_lo.capacity() * 8
-            + flat.rule_hi.capacity() * 8
             + flat.leaf_bounds.capacity() * 4
             + flat.orig_ids.capacity() * 4
             + flat.rule_prio.capacity() * 4;
         assert_eq!(flat.resident_bytes(), expected);
-        // The SoA store must account for every active rule in every dim,
-        // and the scan copy for every leaf entry in every lane.
-        assert_eq!(flat.rule_lo.len(), NUM_DIMS * flat.num_rules());
-        assert_eq!(flat.rule_hi.len(), NUM_DIMS * flat.num_rules());
+        // The rank tables hold every active rule, and the leaf bounds
+        // every leaf entry in every lane.
+        assert_eq!(flat.orig_ids.len(), tree.num_active_rules());
+        assert_eq!(flat.rule_prio.len(), tree.num_active_rules());
         assert_eq!(flat.leaf_bounds.len(), LEAF_ENTRY * flat.leaf_rules.len());
     }
 
@@ -951,44 +917,6 @@ mod tests {
         let fresh = FlatTree::compile(&tree);
         assert!(!fresh.is_stale(&tree));
         assert_eq!(fresh.classify_checked(&tree, &p).unwrap(), tree.classify(&p));
-    }
-
-    #[test]
-    fn patch_delete_matches_full_recompile() {
-        let rules = generate_rules(&GeneratorConfig::new(ClassifierFamily::Fw, 120).with_seed(87));
-        let mut tree = DecisionTree::new(&rules);
-        for k in tree.cut_node(tree.root(), Dim::SrcIp, 8) {
-            if !tree.is_terminal(k, 8) {
-                tree.cut_node(k, Dim::DstPort, 4);
-            }
-        }
-        let mut flat = FlatTree::compile(&tree);
-        let before = flat.num_rules();
-        // Delete a few arena rules in the tree and patch them out of the
-        // compiled snapshot in place.
-        for victim in [0usize, 11, 63] {
-            crate::updates::delete_rule(&mut tree, victim).unwrap();
-            flat.patch_delete(victim, tree.generation());
-        }
-        assert!(!flat.is_stale(&tree));
-        assert_eq!(flat.num_rules(), before - 3);
-        assert_eq!(flat.num_rules(), tree.num_active_rules());
-        // The patched snapshot serves exactly what a recompile would.
-        let recompiled = FlatTree::compile(&tree);
-        let trace = generate_trace(&rules, &TraceConfig::new(400).with_seed(86));
-        let mut patched_out = vec![None; trace.len()];
-        flat.classify_batch(&trace, &mut patched_out);
-        for (i, p) in trace.iter().enumerate() {
-            assert_eq!(flat.classify(p), recompiled.classify(p), "at {p}");
-            assert_eq!(flat.classify(p), tree.classify(p), "vs tree at {p}");
-            assert_eq!(patched_out[i], flat.classify(p), "batch at {p}");
-        }
-        // Patching an id that was never compiled (inserted after
-        // compile) is a no-op on the leaf entries.
-        let top = tree.rules().iter().map(|r| r.priority).max().unwrap();
-        let id = crate::updates::insert_rule(&mut tree, Rule::default_rule(top + 1));
-        crate::updates::delete_rule(&mut tree, id).unwrap();
-        assert_eq!(flat.patch_delete(id, tree.generation()), 0);
     }
 
     #[test]

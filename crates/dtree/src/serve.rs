@@ -27,10 +27,12 @@
 //!
 //! Below the rebuild threshold, updates are cheap:
 //!
-//! * **Deletes** of compiled rules are patched into a copy-on-write
-//!   clone of the `FlatTree` ([`FlatTree::patch_delete`] stamps the
-//!   rule's leaf-scan entries unsatisfiable); deletes of
-//!   not-yet-compiled rules just drop them from the overlay.
+//! * **Deletes** of compiled rules set the rule's table rank in a
+//!   retired-rank bitset carried by the snapshot (one bit per rank);
+//!   the lookup kernels skip a retired match and the scan goes on to
+//!   the runner-up. The compiled `FlatTree` itself is frozen and
+//!   shared, never copied. Deletes of not-yet-compiled rules just drop
+//!   them from the overlay.
 //! * **Inserts** land in a small precedence-sorted **overlay** carried
 //!   by the snapshot. A lookup merges the compiled winner with the
 //!   first matching overlay rule by (priority, id) precedence —
@@ -42,7 +44,7 @@
 //! overlay, resets the log, and publishes the fresh snapshot — still
 //! without pausing readers.
 
-use crate::flat::FlatTree;
+use crate::flat::{self, FlatTree};
 use crate::node::RuleId;
 use crate::tree::DecisionTree;
 use crate::updates::{self, UpdateError, UpdateLog};
@@ -78,9 +80,9 @@ impl RebuildPolicy {
 
     /// Never recompile automatically (updates stay incremental until
     /// [`ClassifierHandle::force_rebuild`] is called). Useful for tests
-    /// that exercise the patch/overlay path exclusively — which is why
-    /// the overlay bound is also lifted; production policies should
-    /// keep a finite `max_overlay`.
+    /// that exercise the retired-bitset/overlay path exclusively — which
+    /// is why the overlay bound is also lifted; production policies
+    /// should keep a finite `max_overlay`.
     pub fn never() -> Self {
         RebuildPolicy { max_churn: f64::INFINITY, min_updates: usize::MAX, max_overlay: usize::MAX }
     }
@@ -106,9 +108,13 @@ pub struct Snapshot {
     epoch: u64,
     /// [`DecisionTree::generation`] this snapshot faithfully serves.
     tree_generation: u64,
-    /// The compiled tree. Shared (not cloned) across snapshots until a
-    /// delete patches it (copy-on-write) or a rebuild replaces it.
+    /// The compiled tree, frozen at the last rebuild and shared (never
+    /// copied) across snapshots until the next rebuild replaces it.
     flat: Arc<FlatTree>,
+    /// Table ranks of `flat` deleted since the last rebuild, one bit
+    /// per rank (see [`FlatTree::classify_rank`]); empty after a
+    /// rebuild.
+    retired: Arc<Vec<u64>>,
     /// Rules inserted since the last recompile, in precedence order
     /// (higher priority first, ties broken by lower id). Small by
     /// construction: the rebuild policy recompiles before it grows.
@@ -126,7 +132,9 @@ impl Snapshot {
         self.tree_generation
     }
 
-    /// The compiled tree inside (stats, resident bytes, …).
+    /// The compiled tree inside (stats, resident bytes, …). It knows
+    /// nothing of the updates since the last rebuild, so it is stale
+    /// after any of them; [`Self::classify`] serves them.
     pub fn flat(&self) -> &FlatTree {
         &self.flat
     }
@@ -137,9 +145,11 @@ impl Snapshot {
         self.overlay.len()
     }
 
-    /// Active rules served by this snapshot (compiled + overlay).
+    /// Active rules served by this snapshot (compiled minus retired,
+    /// plus overlay).
     pub fn num_rules(&self) -> usize {
-        self.flat.num_rules() + self.overlay.len()
+        let retired: u32 = self.retired.iter().map(|w| w.count_ones()).sum();
+        self.flat.num_rules() - retired as usize + self.overlay.len()
     }
 
     /// First overlay match for `packet`, as `(id, priority)`. The
@@ -173,7 +183,7 @@ impl Snapshot {
     /// Classify a packet: the id of the highest-precedence active rule,
     /// identical to a fresh `FlatTree::compile` of the current tree.
     pub fn classify(&self, packet: &Packet) -> Option<RuleId> {
-        self.merge(self.flat.classify_rank(packet), self.overlay_match(packet))
+        self.merge(self.flat.classify_rank(packet, &self.retired), self.overlay_match(packet))
     }
 
     /// Batched classify (wavefront through the compiled tree, then the
@@ -186,9 +196,11 @@ impl Snapshot {
         // nc-lint: allow(no-panic-in-serving, error-taxonomy, reason = "documented length-contract guard (see # Panics); misuse is a caller bug, not runtime input")
         assert_eq!(packets.len(), out.len(), "output slice must match the batch");
         if self.overlay.is_empty() {
-            self.flat.classify_batch(packets, out);
+            self.flat.classify_batch_with(packets, &self.retired, |pi, rank| {
+                out[pi] = rank.map(|rank| self.flat.rank_to_id(rank));
+            });
         } else {
-            self.flat.classify_batch_with(packets, |pi, rank| {
+            self.flat.classify_batch_with(packets, &self.retired, |pi, rank| {
                 out[pi] = self.merge(rank, self.overlay_match(&packets[pi]));
             });
         }
@@ -201,6 +213,7 @@ struct State {
     tree: DecisionTree,
     policy: RebuildPolicy,
     flat: Arc<FlatTree>,
+    retired: Arc<Vec<u64>>,
     overlay: Vec<(RuleId, Rule)>,
     log: UpdateLog,
     rebuilds: u64,
@@ -489,6 +502,7 @@ impl ClassifierHandle {
             epoch,
             tree_generation: tree.generation(),
             flat: flat.clone(),
+            retired: Arc::default(),
             overlay: Arc::new(Vec::new()),
         });
         ClassifierHandle {
@@ -496,6 +510,7 @@ impl ClassifierHandle {
                 tree,
                 policy,
                 flat,
+                retired: Arc::default(),
                 overlay: Vec::new(),
                 log: UpdateLog::default(),
                 rebuilds: 0,
@@ -594,11 +609,10 @@ impl ClassifierHandle {
     }
 
     /// Delete a rule: applied to the tree in place, then either dropped
-    /// from the overlay (not-yet-compiled rules) or patched out of a
-    /// copy-on-write clone of the compiled tree
-    /// ([`FlatTree::patch_delete`]). Publishes a new snapshot before
-    /// returning. Errors on unknown/already-deleted ids without
-    /// touching the serving state.
+    /// from the overlay (not-yet-compiled rules) or its table rank is
+    /// set in the retired-rank bitset; the compiled tree is never
+    /// copied. Publishes a new snapshot before returning. Errors on
+    /// unknown/already-deleted ids without touching the serving state.
     pub fn delete(&self, id: RuleId) -> Result<(), UpdateError> {
         let mut s = self.state.write();
         // Admission-check first (mirroring `delete_rule`'s own guards)
@@ -626,22 +640,16 @@ impl ClassifierHandle {
         s.total_deleted += 1;
         // Check the rebuild policy *first*: when this delete tips the
         // churn over the threshold, the recompile supersedes both the
-        // overlay removal and the copy-on-write patch (whose clone
-        // would otherwise be paid and immediately thrown away).
+        // overlay removal and the retired bit.
         if s.policy.should_rebuild(&s.log, s.tree.num_active_rules()) {
             Self::rebuild_locked(&mut s);
         } else if let Some(pos) = s.overlay.iter().position(|(oid, _)| *oid == id) {
             s.overlay.remove(pos);
-        } else {
-            // Advance the compiled tree's freshness stamp only when the
-            // patch leaves it reflecting the tree exactly; while overlay
-            // inserts are pending, the flat alone is genuinely stale
-            // (it misses those rules) and must keep saying so.
-            let generation =
-                if s.overlay.is_empty() { s.tree.generation() } else { s.flat.generation() };
-            // Readers hold the current Arc, so make_mut clones once
-            // (copy-on-write) and the patch lands in the new copy.
-            Arc::make_mut(&mut s.flat).patch_delete(id, generation);
+        } else if let Some(rank) = s.flat.rank_of(id) {
+            // Readers hold the published bitset, so make_mut copies its
+            // words (one per 64 ranks) once; the compiled tree is shared
+            // as is.
+            flat::retire(Arc::make_mut(&mut s.retired), rank);
         }
         self.publish_locked(&mut s);
         Ok(())
@@ -970,6 +978,7 @@ impl ClassifierHandle {
 
     fn rebuild_locked(s: &mut State) {
         s.flat = Arc::new(FlatTree::compile(&s.tree));
+        s.retired = Arc::default();
         s.overlay.clear();
         s.log = UpdateLog::default();
         s.rebuilds += 1;
@@ -990,6 +999,7 @@ impl ClassifierHandle {
             epoch,
             tree_generation: s.tree.generation(),
             flat: s.flat.clone(),
+            retired: s.retired.clone(),
             overlay: Arc::new(s.overlay.clone()),
         });
         self.epoch.store(epoch, Ordering::Release);
@@ -1055,9 +1065,11 @@ mod tests {
         let (tree, rules) = built_tree(32);
         let handle = ClassifierHandle::new(tree, RebuildPolicy::never());
         let trace = generate_trace(&rules, &TraceConfig::new(300).with_seed(33));
+        let flat_before = handle.snapshot().flat() as *const FlatTree;
         for victim in [0usize, 5, 17] {
             handle.delete(victim).unwrap();
         }
+        assert!(std::ptr::eq(handle.snapshot().flat(), flat_before), "deletes must not copy");
         assert_eq!(handle.stats().rebuilds, 0);
         assert_eq!(handle.stats().log.deleted, 3);
         assert_snapshot_matches_rebuild(&handle, &trace);
@@ -1156,33 +1168,34 @@ mod tests {
 
     #[test]
     fn compiled_flat_stays_stale_while_overlay_inserts_are_pending() {
-        // A delete patch must not launder staleness: with an overlay
-        // insert pending, the compiled FlatTree alone misses that rule,
-        // so even after a patched delete it must keep reporting stale
-        // (the *snapshot* serves correctly — the overlay supplies the
-        // missing rule — but the bare flat does not).
+        // The compiled FlatTree is frozen between rebuilds: deletes go to
+        // the snapshot's retired bitset and inserts to its overlay, so
+        // the bare flat is stale after *any* update — a delete alone
+        // included — while the snapshot serves rebuild-identical results.
         let (tree, rules) = built_tree(44);
         let handle = ClassifierHandle::new(tree, RebuildPolicy::never());
+        let trace = generate_trace(&rules, &TraceConfig::new(200).with_seed(45));
         let top = rules.rules().iter().map(|r| r.priority).max().unwrap();
-        handle.insert(Rule::default_rule(top + 1)).unwrap();
+        let p = Packet::new(1, 2, 3, 4, 6);
         handle.delete(0).unwrap();
         let snap = handle.snapshot();
-        let p = Packet::new(1, 2, 3, 4, 6);
         handle.with_tree(|t| {
-            assert!(snap.flat().is_stale(t), "flat misses the overlay insert");
+            assert!(snap.flat().is_stale(t), "flat misses the delete");
             assert!(snap.flat().classify_checked(t, &p).is_err());
         });
-        // The snapshot itself still serves rebuild-identical results.
-        let trace = generate_trace(&rules, &TraceConfig::new(200).with_seed(45));
         assert_snapshot_matches_rebuild(&handle, &trace);
-        // Once the overlay is folded in by a rebuild, the compiled
-        // tree is the whole truth again and freshness returns.
+        handle.insert(Rule::default_rule(top + 1)).unwrap();
+        let snap = handle.snapshot();
+        handle.with_tree(|t| assert!(snap.flat().is_stale(t), "flat misses the overlay insert"));
+        assert_snapshot_matches_rebuild(&handle, &trace);
+        // A rebuild folds both into a fresh compile: freshness returns.
         handle.force_rebuild();
         let snap = handle.snapshot();
         handle.with_tree(|t| {
             assert!(!snap.flat().is_stale(t));
             assert!(snap.flat().classify_checked(t, &p).is_ok());
         });
+        assert_snapshot_matches_rebuild(&handle, &trace);
     }
 
     #[test]
@@ -1582,7 +1595,7 @@ mod tests {
         handle.delete(victim).unwrap();
         let snap = handle.snapshot();
         // The delete was overlay-only: the compiled tree was neither
-        // patched nor recompiled (same allocation), and the overlay
+        // copied nor recompiled (same allocation), and the overlay
         // dropped exactly the victim.
         assert_eq!(snap.flat() as *const FlatTree as usize, flat_before, "flat must be untouched");
         assert_eq!(handle.stats().overlay_len, 2);

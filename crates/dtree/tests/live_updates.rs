@@ -1,7 +1,7 @@
 //! Differential churn tests for the live-update serving path.
 //!
 //! The claim under test: a [`ClassifierHandle`] serving snapshot —
-//! compiled `FlatTree` + delete patches + insert overlay — is
+//! compiled `FlatTree` + retired-rank bitset + insert overlay — is
 //! **bit-identical** to a from-scratch `FlatTree::compile` of the
 //! handle's current tree (and to the arena linear scan) after *every*
 //! interleaved insert/delete, on every node kind, with duplicate
@@ -283,4 +283,43 @@ fn wildcard_insert_spans_partition_children_and_deletes_cleanly() {
     for p in &probes {
         assert_ne!(snap.classify(p), Some(id), "deleted wildcard resurfaced at {p}");
     }
+}
+
+/// Snapshot isolation: a held snapshot keeps serving the rules it was
+/// published with. Deleting its winner for a probe changes only the
+/// snapshots published afterwards, which serve the runner-up.
+#[test]
+fn held_snapshot_keeps_its_winner_after_a_delete() {
+    let rules = generate_rules(&GeneratorConfig::new(ClassifierFamily::Acl, 200).with_seed(80));
+    let mut tree = DecisionTree::new(&rules);
+    tree.cut_node(tree.root(), Dim::SrcIp, 8);
+    let handle = ClassifierHandle::new(tree, RebuildPolicy::never());
+    let probe = rules.rule(0).low_corner();
+    let held = handle.snapshot();
+    let winner = held.classify(&probe).unwrap();
+    // Rule ids are precedence order, so the runner-up is the first
+    // other rule containing the probe.
+    let runner_up = (0..rules.len()).find(|&id| id != winner && rules.rule(id).matches(&probe));
+    assert!(runner_up.is_some(), "the ACL set's default rule covers every probe");
+
+    handle.delete(winner).unwrap();
+    let mut out = [None];
+    held.classify_batch(&[probe], &mut out);
+    assert_eq!(held.classify(&probe), Some(winner), "held snapshot keeps the deleted rule");
+    assert_eq!(out[0], Some(winner), "held snapshot batch keeps the deleted rule");
+    assert_eq!(handle.snapshot().classify(&probe), runner_up, "new snapshot serves the runner-up");
+
+    // Retired ranks leave the served rule count, overlay rules join it.
+    let mut rng = ChaCha8Rng::seed_from_u64(81);
+    for _ in 0..60 {
+        if rng.gen_bool(0.4) {
+            let _ = handle.insert(random_insert(&mut rng, &rules, &handle));
+        } else {
+            let active: Vec<usize> =
+                handle.with_tree(|t| (0..t.rules().len()).filter(|&id| t.is_active(id)).collect());
+            handle.delete(*active.as_slice().choose(&mut rng).unwrap()).unwrap();
+        }
+        assert_eq!(handle.snapshot().num_rules(), handle.stats().active_rules);
+    }
+    assert_eq!(handle.stats().rebuilds, 0);
 }
