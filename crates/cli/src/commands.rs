@@ -6,9 +6,8 @@ use classbench::{
     RuleSet, TraceConfig,
 };
 use dtree::{
-    find_rebuild_divergence, run_engine, run_live_engine, serve_during, ChurnSchedule,
-    ClassifierHandle, DecisionTree, EngineConfig, FaultInjector, FaultSchedule, FlatTree,
-    RebuildPolicy, TreeStats, FAULT_POINTS,
+    run_engine, serve_during, ChurnSchedule, ClassifierHandle, DecisionTree, EngineConfig,
+    FaultInjector, FaultSchedule, FlatTree, RebuildPolicy, TreeStats, FAULT_POINTS,
 };
 use neurocuts::{
     churn_retrain_timeline, retrain_snapshot, LifecycleConfig, LifecycleWorker, NeuroCutsConfig,
@@ -480,7 +479,7 @@ pub fn update_bench(argv: &[String]) -> Result<(), String> {
     }
 
     // Correctness gate: the final snapshot must equal a full recompile.
-    if let Some(p) = find_rebuild_divergence(&handle, &trace) {
+    if let Some(p) = handle.check_divergence(&trace) {
         return Err(format!("snapshot diverged from full rebuild at {p}"));
     }
     println!("final snapshot verified bit-identical to a full rebuild");
@@ -492,16 +491,19 @@ pub fn update_bench(argv: &[String]) -> Result<(), String> {
         );
     }
 
-    // And the live engine agrees too.
+    // And the sharded engine serving that snapshot agrees too.
+    let snap = handle.snapshot();
     let mut got = vec![None; trace.len()];
-    handle.snapshot().classify_batch(&trace, &mut got);
-    let (out, report) = run_live_engine(&handle, &trace, EngineConfig::new(threads));
+    snap.classify_batch(&trace, &mut got);
+    let (out, report) = run_engine(&*snap, &trace, EngineConfig::new(threads));
     if out != got {
         return Err("live engine diverged from the snapshot".into());
     }
     println!(
-        "live engine       {:>2}t  {:>10.0} pkts/s (epoch {}..{})",
-        report.threads, report.packets_per_sec, report.min_epoch, report.max_epoch
+        "live engine       {:>2}t  {:>10.0} pkts/s (epoch {})",
+        report.threads,
+        report.packets_per_sec,
+        snap.epoch()
     );
     Ok(())
 }

@@ -1,23 +1,39 @@
-//! A sharded, multi-core serving engine over a compiled [`FlatTree`].
+//! A sharded, multi-core serving engine over a [`FlatTree`] or a live [`Snapshot`].
 //!
 //! The paper's end product classifies packets on the datapath; this
-//! module is the deployment harness around [`FlatTree`]: a trace is
-//! sharded into contiguous chunks, one per worker, and each worker
-//! drives the batched wavefront lookup ([`FlatTree::classify_batch`])
-//! over its shard. The tree is shared read-only (`&FlatTree` — no
-//! locks, no cloning), workers are scoped threads, and results land in
-//! disjoint sub-slices of the caller's output buffer, so the combined
-//! output is **bit-identical** to running scalar
-//! [`FlatTree::classify`] over the whole trace in order.
-//!
-//! [`run_engine`] wraps the sharded lookup in a timing loop and
-//! reports aggregate packets/sec — the serving-throughput number the
-//! benchmarks and the `serve-bench` CLI subcommand record.
+//! module is the deployment harness around it: a trace is sharded into
+//! contiguous chunks, one per worker, and each worker drives the
+//! batched wavefront lookup over its shard. Both classifiers go through
+//! one loop: shared read-only, scoped workers, results in disjoint
+//! sub-slices of the caller's buffer, so the output is
+//! **bit-identical** to the scalar lookup over the trace in order. A
+//! live caller passes `&*handle.snapshot()`, so every shard serves one
+//! epoch; [`serve_during`](crate::replay::serve_during) is the loop
+//! that re-fetches on epoch changes. [`run_engine`] times the sharded
+//! lookup and reports aggregate packets/sec.
 
 use crate::flat::FlatTree;
 use crate::node::RuleId;
-use crate::serve::ClassifierHandle;
+use crate::serve::Snapshot;
 use classbench::Packet;
+
+/// A read-only classifier the engine can shard a trace across.
+pub trait BatchClassifier: Sync {
+    /// Classify `packets` into `out` exactly as the per-packet lookup would.
+    fn classify_batch(&self, packets: &[Packet], out: &mut [Option<RuleId>]);
+}
+
+impl BatchClassifier for FlatTree {
+    fn classify_batch(&self, packets: &[Packet], out: &mut [Option<RuleId>]) {
+        FlatTree::classify_batch(self, packets, out)
+    }
+}
+
+impl BatchClassifier for Snapshot {
+    fn classify_batch(&self, packets: &[Packet], out: &mut [Option<RuleId>]) {
+        Snapshot::classify_batch(self, packets, out)
+    }
+}
 
 /// How a serving run is sharded and measured.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -55,67 +71,63 @@ pub struct EngineReport {
     pub packets_per_sec: f64,
 }
 
-/// Classify `trace` into `out` using `threads` workers over the shared
-/// tree. Shards are contiguous chunks, so `out[i]` is exactly what
-/// `tree.classify(&trace[i])` returns regardless of the thread count.
-///
-/// # Panics
-/// Panics if `trace` and `out` have different lengths.
-pub fn classify_sharded(
-    tree: &FlatTree,
+/// The one sharding loop. Workers spawn **once** and loop their `passes`
+/// internally, amortising thread start-up as a long-lived server would.
+fn serve_sharded<T: BatchClassifier>(
+    tree: &T,
     trace: &[Packet],
     out: &mut [Option<RuleId>],
     threads: usize,
+    passes: usize,
 ) {
-    // nc-lint: allow(no-panic-in-serving, error-taxonomy, reason = "documented length-contract guard (see # Panics); misuse is a caller bug, not runtime input")
-    assert_eq!(trace.len(), out.len(), "output slice must match the trace");
-    let threads = threads.max(1);
-    if threads == 1 || trace.len() < 2 {
-        tree.classify_batch(trace, out);
-        return;
+    let serve = |pkts: &[Packet], results: &mut [Option<RuleId>]| {
+        for _ in 0..passes {
+            tree.classify_batch(pkts, results);
+        }
+    };
+    if threads <= 1 || trace.len() < 2 {
+        return serve(trace, out);
     }
     // Ceiling division so every packet lands in one of <= `threads`
     // contiguous shards (the last shard may be short).
     let shard = trace.len().div_ceil(threads);
     std::thread::scope(|scope| {
         for (pkts, results) in trace.chunks(shard).zip(out.chunks_mut(shard)) {
-            scope.spawn(move || tree.classify_batch(pkts, results));
+            scope.spawn(move || serve(pkts, results));
         }
     });
 }
 
+/// Classify `trace` into `out` using `threads` workers over the shared
+/// tree. Shards are contiguous chunks, so `out[i]` is exactly what
+/// `tree.classify(&trace[i])` returns regardless of the thread count.
+///
+/// # Panics
+/// Panics if `trace` and `out` have different lengths.
+pub fn classify_sharded<T: BatchClassifier>(
+    tree: &T,
+    trace: &[Packet],
+    out: &mut [Option<RuleId>],
+    threads: usize,
+) {
+    // nc-lint: allow(no-panic-in-serving, error-taxonomy, reason = "documented length-contract guard (see # Panics); misuse is a caller bug, not runtime input")
+    assert_eq!(trace.len(), out.len(), "output slice must match the trace");
+    serve_sharded(tree, trace, out, threads, 1);
+}
+
 /// Time a sharded serving run over `cfg.passes` passes and report the
 /// aggregate packets/sec. Returns the classification results (which
-/// are identical on every pass, and identical to scalar
-/// [`FlatTree::classify`]) alongside the report.
-///
-/// Workers are spawned **once** and loop their passes internally, so
-/// the measurement amortises thread start-up the way a long-lived
-/// serving process would, instead of paying it once per pass.
-pub fn run_engine(
-    tree: &FlatTree,
+/// are identical on every pass, and identical to the scalar lookup)
+/// alongside the report.
+pub fn run_engine<T: BatchClassifier>(
+    tree: &T,
     trace: &[Packet],
     cfg: EngineConfig,
 ) -> (Vec<Option<RuleId>>, EngineReport) {
     let threads = cfg.threads.max(1);
     let mut out = vec![None; trace.len()];
     let start = std::time::Instant::now();
-    if threads == 1 || trace.len() < 2 {
-        for _ in 0..cfg.passes {
-            tree.classify_batch(trace, &mut out);
-        }
-    } else {
-        let shard = trace.len().div_ceil(threads);
-        std::thread::scope(|scope| {
-            for (pkts, results) in trace.chunks(shard).zip(out.chunks_mut(shard)) {
-                scope.spawn(move || {
-                    for _ in 0..cfg.passes {
-                        tree.classify_batch(pkts, results);
-                    }
-                });
-            }
-        });
-    }
+    serve_sharded(tree, trace, &mut out, threads, cfg.passes);
     let seconds = start.elapsed().as_secs_f64();
     let packets = trace.len() * cfg.passes;
     let report = EngineReport {
@@ -127,120 +139,10 @@ pub fn run_engine(
     (out, report)
 }
 
-/// Aggregate result of a timed [`run_live_engine`] run.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LiveEngineReport {
-    /// Worker threads used.
-    pub threads: usize,
-    /// Total packets classified across all passes.
-    pub packets: usize,
-    /// Wall-clock seconds for all passes.
-    pub seconds: f64,
-    /// Aggregate throughput: `packets / seconds`.
-    pub packets_per_sec: f64,
-    /// Lowest snapshot epoch any worker served from.
-    pub min_epoch: u64,
-    /// Highest snapshot epoch any worker served from.
-    pub max_epoch: u64,
-}
-
-/// Classify `trace` into `out` using `threads` workers reading
-/// **through the handle**: each worker fetches the current snapshot
-/// once and serves its shard from it. With no concurrent updates this
-/// is bit-identical to [`classify_sharded`] over the handle's compiled
-/// tree; under concurrent updates every worker serves a *consistent*
-/// snapshot (never a torn one), though different shards may observe
-/// different epochs.
-///
-/// # Panics
-/// Panics if `trace` and `out` have different lengths.
-pub fn classify_sharded_live(
-    handle: &ClassifierHandle,
-    trace: &[Packet],
-    out: &mut [Option<RuleId>],
-    threads: usize,
-) {
-    // nc-lint: allow(no-panic-in-serving, error-taxonomy, reason = "documented length-contract guard (see # Panics); misuse is a caller bug, not runtime input")
-    assert_eq!(trace.len(), out.len(), "output slice must match the trace");
-    let threads = threads.max(1);
-    if threads == 1 || trace.len() < 2 {
-        handle.snapshot().classify_batch(trace, out);
-        return;
-    }
-    let shard = trace.len().div_ceil(threads);
-    std::thread::scope(|scope| {
-        for (pkts, results) in trace.chunks(shard).zip(out.chunks_mut(shard)) {
-            scope.spawn(move || handle.snapshot().classify_batch(pkts, results));
-        }
-    });
-}
-
-/// Time a live serving run: like [`run_engine`], but workers read
-/// through the handle and **re-fetch the snapshot between passes**
-/// whenever the handle's epoch counter says a newer one exists (one
-/// atomic load per pass — the epoch scheme's whole point). Updates
-/// applied concurrently by other threads therefore land in the
-/// serving path without stopping it; the report records the epoch
-/// range the workers actually served from.
-pub fn run_live_engine(
-    handle: &ClassifierHandle,
-    trace: &[Packet],
-    cfg: EngineConfig,
-) -> (Vec<Option<RuleId>>, LiveEngineReport) {
-    use std::sync::atomic::{AtomicU64, Ordering};
-    let threads = cfg.threads.max(1);
-    let mut out = vec![None; trace.len()];
-    let min_epoch = AtomicU64::new(u64::MAX);
-    let max_epoch = AtomicU64::new(0);
-    let observe = |e: u64| {
-        min_epoch.fetch_min(e, Ordering::Relaxed);
-        max_epoch.fetch_max(e, Ordering::Relaxed);
-    };
-    let start = std::time::Instant::now();
-    if threads == 1 || trace.len() < 2 {
-        let mut snap = handle.snapshot();
-        for _ in 0..cfg.passes {
-            if snap.epoch() != handle.epoch() {
-                snap = handle.snapshot();
-            }
-            observe(snap.epoch());
-            snap.classify_batch(trace, &mut out);
-        }
-    } else {
-        let shard = trace.len().div_ceil(threads);
-        std::thread::scope(|scope| {
-            for (pkts, results) in trace.chunks(shard).zip(out.chunks_mut(shard)) {
-                let observe = &observe;
-                scope.spawn(move || {
-                    let mut snap = handle.snapshot();
-                    for _ in 0..cfg.passes {
-                        if snap.epoch() != handle.epoch() {
-                            snap = handle.snapshot();
-                        }
-                        observe(snap.epoch());
-                        snap.classify_batch(pkts, results);
-                    }
-                });
-            }
-        });
-    }
-    let seconds = start.elapsed().as_secs_f64();
-    let packets = trace.len() * cfg.passes;
-    let report = LiveEngineReport {
-        threads,
-        packets,
-        seconds,
-        packets_per_sec: if seconds > 0.0 { packets as f64 / seconds } else { 0.0 },
-        min_epoch: min_epoch.load(Ordering::Relaxed),
-        max_epoch: max_epoch.load(Ordering::Relaxed),
-    };
-    (out, report)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::serve::RebuildPolicy;
+    use crate::serve::{ClassifierHandle, RebuildPolicy};
     use crate::tree::DecisionTree;
     use classbench::{
         generate_rules, generate_trace, ClassifierFamily, Dim, GeneratorConfig, TraceConfig,
@@ -322,7 +224,7 @@ mod tests {
         let expect: Vec<_> = trace.iter().map(|p| flat.classify(p)).collect();
         for threads in [1, 2, 5] {
             let mut out = vec![None; trace.len()];
-            classify_sharded_live(&handle, &trace, &mut out, threads);
+            classify_sharded(&*handle.snapshot(), &trace, &mut out, threads);
             assert_eq!(out, expect, "threads={threads}");
         }
     }
@@ -331,20 +233,42 @@ mod tests {
     fn live_engine_picks_up_published_updates() {
         let (handle, rules) = live_handle();
         let trace = generate_trace(&rules, &TraceConfig::new(120).with_seed(52));
-        // Serve a pass, apply updates, serve again through the same
-        // handle: the second run must see the post-update snapshot.
-        let (before, r1) = run_live_engine(&handle, &trace, EngineConfig::new(2).with_passes(2));
-        assert_eq!(r1.min_epoch, 0);
+        // Serve a run, apply updates, serve again from a fresh
+        // snapshot: the second run must see the post-update epoch.
+        let cfg = EngineConfig::new(2).with_passes(2);
+        let snap = handle.snapshot();
+        assert_eq!(snap.epoch(), 0);
+        let (before, _) = run_engine(&*snap, &trace, cfg);
         let top = rules.rules().iter().map(|r| r.priority).max().unwrap();
         let id = handle.insert(classbench::Rule::default_rule(top + 1)).unwrap();
-        let (after, r2) = run_live_engine(&handle, &trace, EngineConfig::new(2).with_passes(2));
-        assert!(r2.min_epoch >= 1, "workers must serve the new epoch");
+        let snap = handle.snapshot();
+        assert!(snap.epoch() >= 1, "a fresh snapshot must carry the new epoch");
+        let (after, _) = run_engine(&*snap, &trace, cfg);
         assert!(after.iter().all(|&m| m == Some(id)), "shadowing insert must win everywhere");
         assert_ne!(before, after);
         // And the results equal a from-scratch rebuild of the tree.
         let rebuilt = handle.with_tree(FlatTree::compile);
         let want: Vec<_> = trace.iter().map(|p| rebuilt.classify(p)).collect();
         assert_eq!(after, want);
+    }
+
+    #[test]
+    fn held_snapshot_serves_its_own_epoch_on_every_shard() {
+        let (handle, rules) = live_handle();
+        let trace = generate_trace(&rules, &TraceConfig::new(301).with_seed(54));
+        let held = handle.snapshot();
+        let want: Vec<_> = trace.iter().map(|p| held.classify(p)).collect();
+        let top = rules.rules().iter().map(|r| r.priority).max().unwrap();
+        let id = handle.insert(classbench::Rule::default_rule(top + 1)).unwrap();
+        assert_ne!(handle.epoch(), held.epoch(), "the handle must have moved on");
+        for threads in [2, 3, 7] {
+            let (out, report) = run_engine(&*held, &trace, EngineConfig::new(threads));
+            assert_eq!(report.threads, threads);
+            assert_eq!(out, want, "threads={threads}: every shard serves the held epoch");
+        }
+        assert!(want.iter().all(|&m| m != Some(id)), "the held epoch predates the insert");
+        let (now, _) = run_engine(&*handle.snapshot(), &trace, EngineConfig::new(2));
+        assert!(now.iter().all(|&m| m == Some(id)), "the current epoch serves the insert");
     }
 
     #[test]
@@ -358,9 +282,12 @@ mod tests {
             let reader = scope.spawn(move || {
                 let mut total = 0usize;
                 for _ in 0..20 {
-                    let (out, rep) = run_live_engine(h, t, EngineConfig::new(2));
+                    // Each run serves one consistent snapshot on every
+                    // shard, whatever the writer does meanwhile.
+                    let snap = h.snapshot();
+                    let (out, _) = run_engine(&*snap, t, EngineConfig::new(2));
+                    assert!(t.iter().zip(&out).all(|(p, &got)| got == snap.classify(p)));
                     total += out.len();
-                    assert!(rep.max_epoch >= rep.min_epoch);
                 }
                 total
             });

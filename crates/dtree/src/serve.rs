@@ -23,7 +23,8 @@
 //! * A monotonically increasing **epoch counter** (an `AtomicU64`,
 //!   readable without the lock) lets readers detect that a newer
 //!   snapshot exists with a single atomic load and re-fetch at their
-//!   convenience — the sharded engine does this between batches.
+//!   convenience — [`crate::replay::serve_during`] does this between
+//!   batches; the sharded engine serves the one snapshot it is handed.
 //!
 //! Below the rebuild threshold, updates are cheap:
 //!
@@ -820,10 +821,13 @@ impl ClassifierHandle {
     /// read-lock acquisition grabs the published snapshot, recompiles
     /// the tree from scratch, and synthesises one probe packet inside
     /// every pending overlay rule; the comparison then runs lock-free.
-    /// Returns the first diverging packet (`None` = certified). The
-    /// probes matter: a snapshot taken mid-overlay serves inserts the
-    /// compiled table does not know about, and an arbitrary trace may
-    /// never hit them.
+    /// Returns the first diverging packet (`None` = bit-identical, the
+    /// live-update correctness claim). One acquisition matters: two
+    /// separate fetches could interleave with a concurrent update and
+    /// report a false divergence. The probes matter too: a snapshot
+    /// taken mid-overlay serves inserts the compiled table does not
+    /// know about, and an arbitrary trace may never hit them. This is
+    /// the per-swap spot check of the lifecycle loop.
     pub fn check_divergence(&self, trace: &[Packet]) -> Option<Packet> {
         let (snap, rebuilt, probes) = {
             let s = self.state.read();

@@ -1232,6 +1232,9 @@ mod tests {
         assert_eq!(t.classify(&Packet::new(0, 0, 0, 9999, 17)), Some(2));
     }
 
+    // The cover check is a `debug_assert!` (kept off the training hot
+    // path in release builds), so only debug builds can observe it.
+    #[cfg(debug_assertions)]
     #[test]
     #[should_panic(expected = "exactly cover")]
     fn partition_must_cover_rules() {
